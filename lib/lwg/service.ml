@@ -72,7 +72,7 @@ type lstate = {
   mutable provisional : View_id.t option;
   mutable next_seq : int;
   mutable total_sent : int; (* monotone across views: delivery-invariant tag *)
-  mutable delivered : int Node_id.Map.t;
+  delivered : int array; (* per sender: count delivered in the current view *)
   mutable pend_cur : (Node_id.t * int * int * (Node_id.t * int) list * Payload.t) list
       (* src, seq, local, vc, body: received but not yet deliverable in the current view *);
   mutable pend_new : (View_id.t * (Node_id.t * int * int * (Node_id.t * int) list * Payload.t)) list;
@@ -131,6 +131,9 @@ let record t event = match t.recorder with Some r -> r (Rt.now t.rt) event | Non
 
 let lstate_of t lwg = Hashtbl.find_opt t.lstates (Gid.code lwg)
 
+(* Per-message variant: the hit path allocates no [Some]. *)
+let lstate_exn t lwg = Hashtbl.find t.lstates (Gid.code lwg)
+
 let hstate_of t hgid =
   let key = Gid.code hgid in
   match Hashtbl.find_opt t.hstates key with
@@ -155,9 +158,7 @@ let fresh_gid t =
      layer only by convention; both are (seq, origin) pairs. *)
   { Gid.seq = 1_000_000 + t.lwg_gid_counter; origin = t.node }
 
-let delivered_count map sender = match Node_id.Map.find_opt sender map with Some n -> n | None -> 0
-
-let multicast_h t hgid payload = if Hwg.is_member t.hwg hgid then Hwg.send t.hwg hgid payload
+let multicast_h t hgid payload = Hwg.send_if_member t.hwg hgid payload
 
 let lwg_coordinator view = match view.View.members with [] -> -1 | m :: _ -> m
 
@@ -192,33 +193,36 @@ let[@transition] ns_set_view t (l : lstate) view =
 (* ------------------------------------------------------------------ *)
 
 let[@transition] deliver t (l : lstate) ~src ~seq ~local body =
-  l.delivered <- Node_id.Map.add src (seq + 1) l.delivered;
+  l.delivered.(src) <- seq + 1;
   (match l.view with
   | Some view ->
-      record t (Hwg.Delivered { node = t.node; group = l.lwg; view_id = view.View.id; origin = src; local_id = local })
+      record t
+        ((Hwg.Delivered { node = t.node; group = l.lwg; view_id = view.View.id; origin = src; local_id = local })
+        [@alloc_ok "the recorder's event: short-lived, packed into a row"])
   | None -> ());
   t.callbacks.on_data l.lwg ~src body
+[@@zero_alloc_hot]
 
 (* A buffered message is deliverable when it is its sender's next and,
    in causal mode, everything it causally depends on was delivered. *)
 let l_deliverable (l : lstate) ~src ~seq ~vc =
-  l.awaiting_state = None
-  && seq = delivered_count l.delivered src
+  Option.is_none l.awaiting_state
+  && seq = l.delivered.(src)
   &&
   match l.ordering with
   | Fifo | Total -> true
-  | Causal ->
-      List.for_all (fun (node, count) -> Node_id.equal node src || delivered_count l.delivered node >= count) vc
+  | Causal -> List.for_all (fun (node, count) -> Node_id.equal node src || l.delivered.(node) >= count) vc
 
 let[@transition] rec drain_pend_cur t (l : lstate) =
-  let ready, rest =
-    List.partition (fun (src, seq, _, vc, _) -> l_deliverable l ~src ~seq ~vc) l.pend_cur
-  in
-  if not (List.is_empty ready) then begin
-    l.pend_cur <- rest;
-    List.iter (fun (src, seq, local, _, body) -> deliver t l ~src ~seq ~local body) ready;
-    drain_pend_cur t l
-  end
+  match l.pend_cur with
+  | [] -> ()
+  | pend ->
+      let ready, rest = List.partition (fun (src, seq, _, vc, _) -> l_deliverable l ~src ~seq ~vc) pend in
+      if not (List.is_empty ready) then begin
+        l.pend_cur <- rest;
+        List.iter (fun (src, seq, local, _, body) -> deliver t l ~src ~seq ~local body) ready;
+        drain_pend_cur t l
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Sending                                                             *)
@@ -230,7 +234,7 @@ let[@transition] send_in t (l : lstate) body =
       let seq = l.next_seq and local = l.total_sent in
       l.next_seq <- seq + 1;
       l.total_sent <- local + 1;
-      let vc = match l.ordering with Causal -> Node_id.Map.bindings l.delivered | Fifo | Total -> [] in
+      let vc = match l.ordering with Causal -> vec_bindings l.delivered | Fifo | Total -> [] in
       multicast_h t hwg (L_data { lwg = l.lwg; lview = view.View.id; seq; local; vc; body })
   | _, _, _ -> l.outbox <- body :: l.outbox
 
@@ -256,7 +260,7 @@ let[@transition] install_lview t (l : lstate) view =
   (match l.view with Some old -> l.ancestors <- View_id.Set.add old.View.id l.ancestors | None -> ());
   l.view <- Some view;
   l.next_seq <- 0;
-  l.delivered <- Node_id.Map.empty;
+  Array.fill l.delivered 0 (Array.length l.delivered) 0;
   l.pend_cur <- [];
   record t (Hwg.Installed { node = t.node; view });
   Rt.count t.rt "lwg.views_installed";
@@ -276,7 +280,7 @@ let[@transition] install_lview t (l : lstate) view =
   let early = List.sort (fun (_, (_, a, _, _, _)) (_, (_, b, _, _, _)) -> Int.compare a b) early in
   List.iter
     (fun (_, (src, seq, local, vc, body)) ->
-      if seq >= delivered_count l.delivered src then l.pend_cur <- (src, seq, local, vc, body) :: l.pend_cur)
+      if seq >= l.delivered.(src) then l.pend_cur <- (src, seq, local, vc, body) :: l.pend_cur)
     early;
   drain_pend_cur t l
 
@@ -332,7 +336,7 @@ let try_finish_drain t (l : lstate) =
       let satisfied =
         Node_id.Map.for_all
           (fun sender upto ->
-            delivered_count l.delivered sender >= upto || not (Node_id.Set.mem sender present))
+            l.delivered.(sender) >= upto || not (Node_id.Set.mem sender present))
           d_cut
       in
       if satisfied then finish_drain t l ~d_view ~d_switch ~d_leaving
@@ -482,13 +486,12 @@ let request_merge t carrier =
     multicast_h t carrier L_merge_views
   end
 
+(* The LWG delivery fast path: an in-order message of the installed
+   view is delivered without allocating; buffering is the slow path. *)
 let[@transition] handle_ldata t ~carrier ~src ~lwg ~lview ~seq ~local ~vc ~body =
-  match lstate_of t lwg with
-  | None -> () (* filtered: the interference cost was already paid at the CPU *)
-  | Some l -> (
-      let pending_view =
-        match l.status with Draining { d_view; _ } -> Some d_view.View.id | _ -> None
-      in
+  match lstate_exn t lwg with
+  | exception Not_found -> () (* filtered: the interference cost was already paid at the CPU *)
+  | l -> (
       match l.view with
       | Some view when View_id.equal view.View.id lview ->
           if l_deliverable l ~src ~seq ~vc then begin
@@ -496,10 +499,10 @@ let[@transition] handle_ldata t ~carrier ~src ~lwg ~lview ~seq ~local ~vc ~body 
             drain_pend_cur t l;
             try_finish_drain t l
           end
-          else if seq >= delivered_count l.delivered src then
-            l.pend_cur <- (src, seq, local, vc, body) :: l.pend_cur
-      | _ when (match pending_view with Some vid -> View_id.equal vid lview | None -> false) ->
-          l.pend_new <- (lview, (src, seq, local, vc, body)) :: l.pend_new
+          else if seq >= l.delivered.(src) then
+            l.pend_cur <- ((src, seq, local, vc, body) :: l.pend_cur [@alloc_ok "buffered: not yet deliverable"])
+      | _ when (match l.status with Draining { d_view; _ } -> View_id.equal d_view.View.id lview | _ -> false) ->
+          l.pend_new <- ((lview, (src, seq, local, vc, body)) :: l.pend_new [@alloc_ok "buffered for the next view"])
       | Some _ when View_id.Set.mem lview l.ancestors -> () (* stale: already cut *)
       | Some _ ->
           (* a concurrent view of my LWG shares this HWG: local peer
@@ -508,9 +511,10 @@ let[@transition] handle_ldata t ~carrier ~src ~lwg ~lview ~seq ~local ~vc ~body 
              installed moments before I do (the shrink races the data
              under loss): buffer the message so the install replays it
              instead of silently cutting it from the view. *)
-          l.pend_new <- (lview, (src, seq, local, vc, body)) :: l.pend_new;
+          l.pend_new <- ((lview, (src, seq, local, vc, body)) :: l.pend_new [@alloc_ok "buffered for a concurrent view"]);
           request_merge t carrier
       | None -> ())
+[@@zero_alloc_hot]
 
 (* ------------------------------------------------------------------ *)
 (* Merge-views protocol (Figure 5)                                     *)
@@ -1211,7 +1215,7 @@ let join ?(ordering = Fifo) t lwg =
               provisional = None;
               next_seq = 0;
               total_sent = 0;
-              delivered = Node_id.Map.empty;
+              delivered = Array.make (Rt.n_nodes t.rt) 0;
               pend_cur = [];
               pend_new = [];
               outbox = [];
@@ -1250,9 +1254,9 @@ let send t lwg body =
   match t.mode with
   | Direct -> Hwg.send t.hwg lwg body
   | Static _ | Dynamic -> (
-      match lstate_of t lwg with
-      | None -> invalid_arg "Lwg.send: not a member of the group"
-      | Some l -> send_in t l body)
+      match lstate_exn t lwg with
+      | exception Not_found -> invalid_arg "Lwg.send: not a member of the group"
+      | l -> send_in t l body)
 
 let view_of t lwg =
   match t.mode with
@@ -1325,25 +1329,34 @@ let[@transition] mark_lineage_rejoined t node =
     (fun _ (l : lstate) -> if Option.is_some l.view then l.lineage <- L_rejoined node)
     t.lstates
 
+(* The HWG data upcalls, partially applied to the service cell once at
+   [create]: a delivered message allocates no closure. *)
+let hwg_data_upcall t_ref group ~view_id:_ ~src payload =
+  match !t_ref with Some t -> handle_hwg_data t ~carrier:group ~src payload | None -> ()
+[@@zero_alloc_hot]
+
+let direct_data_upcall t_ref group ~view_id:_ ~src payload =
+  match !t_ref with Some t -> t.callbacks.on_data group ~src payload | None -> ()
+[@@zero_alloc_hot]
+
 let create ?(config = default_config) ?hwg_config ?recorder ?hwg_recorder ~mode ~transport ~detector ?ns callbacks node =
   (match (mode, ns) with
   | Dynamic, None -> invalid_arg "Lwg.create: Dynamic mode requires a naming-service client"
   | _, _ -> ());
   let rt = Transport.runtime transport in
   let t_ref = ref None in
-  let with_t f = match !t_ref with Some t -> f t | None -> () in
   let hwg_callbacks =
     match mode with
     | Direct ->
         {
-          Hwg.on_view = (fun group view -> with_t (fun t -> t.callbacks.on_view group view));
-          Hwg.on_data = (fun group ~view_id:_ ~src payload -> with_t (fun t -> t.callbacks.on_data group ~src payload));
+          Hwg.on_view = (fun group view -> match !t_ref with Some t -> t.callbacks.on_view group view | None -> ());
+          Hwg.on_data = direct_data_upcall t_ref;
           Hwg.on_stop = (fun _ -> ());
         }
     | Static _ | Dynamic ->
         {
-          Hwg.on_view = (fun group view -> with_t (fun t -> handle_hwg_view t group view));
-          Hwg.on_data = (fun group ~view_id:_ ~src payload -> with_t (fun t -> handle_hwg_data t ~carrier:group ~src payload));
+          Hwg.on_view = (fun group view -> match !t_ref with Some t -> handle_hwg_view t group view | None -> ());
+          Hwg.on_data = hwg_data_upcall t_ref;
           Hwg.on_stop = (fun _ -> ());
         }
   in

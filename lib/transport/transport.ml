@@ -71,6 +71,7 @@ type in_conn = {
   mutable next_expected : int;
   out_of_order : Payload.t Seqbuf.t; (* keyed by seq *)
   mutable ack_pending : bool;
+  ack_fire : unit -> unit; (* the delayed-ack timer action, built once per connection *)
 }
 
 type endpoint = {
@@ -144,23 +145,32 @@ let deliver ep ~src body =
 
 let ack_delay = Time.ms 5
 
+let fire_ack ep ~dst ic =
+  ic.ack_pending <- false;
+  Rt.send ep.rt ~src:ep.node ~dst (Ack { conn = ic.in_id; next = ic.next_expected })
+
 let get_in ep src =
   match ep.ins.(src) with
   | Some ic -> ic
   | None ->
-      let ic = { in_id = -1; next_expected = 0; out_of_order = Seqbuf.create (); ack_pending = false } in
+      let rec ic =
+        {
+          in_id = -1;
+          next_expected = 0;
+          out_of_order = Seqbuf.create ();
+          ack_pending = false;
+          ack_fire = (fun () -> fire_ack ep ~dst:src ic);
+        }
+      in
       ep.ins.(src) <- Some ic;
       ic
 
-let send_ack ep ~dst ic =
+let send_ack ep ic =
   if not ic.ack_pending then begin
     ic.ack_pending <- true;
-    let fire () =
-      ic.ack_pending <- false;
-      Rt.send ep.rt ~src:ep.node ~dst (Ack { conn = ic.in_id; next = ic.next_expected })
-    in
-    Rt.after_node_ ep.rt ep.node ack_delay fire
+    Rt.after_node_ ep.rt ep.node ack_delay ic.ack_fire
   end
+[@@zero_alloc_hot]
 
 let rec drain_in_order ep ~src ic =
   match Seqbuf.min_opt ic.out_of_order with
@@ -191,7 +201,7 @@ let on_seg ep ~src ~conn ~seq body =
       if not (Seqbuf.is_empty ic.out_of_order) then drain_in_order ep ~src ic
     end
     else if seq > ic.next_expected then Seqbuf.add ic.out_of_order seq body;
-    send_ack ep ~dst:src ic
+    send_ack ep ic
   end
 [@@zero_alloc_hot]
 (* conn < ic.in_id: stale fragment of an abandoned connection; drop. *)
@@ -333,12 +343,12 @@ let endpoint t node =
                   arm_timer ep ~dst oc
               | _ -> ())
             ep.outs;
-          Array.iteri
-            (fun dst ic ->
+          Array.iter
+            (fun ic ->
               match ic with
               | Some ic when ic.ack_pending ->
                   ic.ack_pending <- false;
-                  send_ack ep ~dst ic
+                  send_ack ep ic
               | _ -> ())
             ep.ins);
       ep

@@ -185,16 +185,6 @@ let lookup_exn t group = Plwg_util.Itbl.find t.states (Gid.code group)
 
 let delivered_count map sender = match Node_id.Map.find_opt sender map with Some n -> n | None -> 0
 
-(* Wire form of a delivery vector: nonzero entries in ascending node id.
-   Byte-compatible with the [Node_id.Map.bindings] this replaces — a map
-   entry existed iff at least one delivery happened, i.e. count > 0. *)
-let vec_bindings v =
-  let acc = ref [] in
-  for i = Array.length v - 1 downto 0 do
-    if v.(i) > 0 then acc := (i, v.(i)) :: !acc
-  done;
-  !acc
-
 let unicast t ~dst payload = Transport.send t.endpoint ~dst payload
 
 let broadcast t payload = Transport.broadcast_raw t.transport ~src:t.node payload
@@ -283,9 +273,9 @@ let deliverable g msg =
 (* Deliver any frozen messages for the current view that are now in
    order. *)
 let rec drain_frozen t g =
-  match g.view with
-  | None -> ()
-  | Some view ->
+  match (g.view, g.frozen) with
+  | None, _ | _, [] -> ()
+  | Some view, _ ->
       let ready, rest =
         List.partition (fun (vid, msg) -> View_id.equal vid view.View.id && deliverable g msg) g.frozen
       in
@@ -306,13 +296,23 @@ let freeze t g view_id msg =
 (* Sending                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let rec unicast_all t payload = function
+  | [] -> ()
+  | dst :: rest ->
+      unicast t ~dst payload;
+      unicast_all t payload rest
+[@@zero_alloc_hot]
+
+(* One data block for the whole view: every member's segment carries
+   the same immutable payload. *)
 let multicast_data t g msg =
   match g.view with
   | None -> ()
   | Some view ->
-      List.iter
-        (fun dst -> unicast t ~dst (Hw_data { group = g.group; view_id = view.View.id; msg }))
+      unicast_all t
+        ((Hw_data { group = g.group; view_id = view.View.id; msg }) [@alloc_ok "the one data block a multicast builds"])
         view.View.members
+[@@zero_alloc_hot]
 
 let stamp_and_multicast t g ~origin ~local_id body =
   match g.view with
@@ -347,12 +347,21 @@ let send_in_view t g body =
               (Hw_to_req { group = g.group; view_id = view.View.id; origin = t.node; local_id; body }))
 
 let send t group body =
-  match lookup t group with
-  | None -> invalid_arg "Hwg.send: not a member of the group"
-  | Some g -> (
+  match lookup_exn t group with
+  | exception Not_found -> invalid_arg "Hwg.send: not a member of the group"
+  | g -> (
       match g.status with
       | Normal -> send_in_view t g body
       | Joining _ | Stopped _ -> g.outbox <- body :: g.outbox)
+
+let send_if_member t group body =
+  match lookup_exn t group with
+  | exception Not_found -> ()
+  | g -> (
+      match (g.status, g.view) with
+      | Normal, Some _ -> send_in_view t g body
+      | Stopped _, Some _ -> g.outbox <- body :: g.outbox
+      | (Normal | Stopped _ | Joining _), _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* View installation                                                   *)

@@ -92,6 +92,10 @@ val send : t -> Gid.t -> Payload.t -> unit
     is in progress the message is buffered and sent in the next view.
     @raise Invalid_argument if this node is not a member (nor joining). *)
 
+val send_if_member : t -> Gid.t -> Payload.t -> unit
+(** [send] when {!is_member} holds, otherwise drop the message: one
+    table lookup instead of two. *)
+
 val stop_ok : t -> Gid.t -> unit
 (** Acknowledge an [on_stop] upcall (manual mode only). *)
 

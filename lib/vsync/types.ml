@@ -129,6 +129,16 @@ type app_msg = {
 let pp_app_msg ppf m =
   Format.fprintf ppf "%a/#%d(origin %a/#%d)" Node_id.pp m.sender m.seq Node_id.pp m.origin m.local_id
 
+(* Nonzero entries in ascending node id: byte-compatible with the
+   [Node_id.Map.bindings] of a counts map, where an entry existed iff at
+   least one delivery happened, i.e. count > 0. *)
+let vec_bindings v =
+  let acc = ref [] in
+  for i = Array.length v - 1 downto 0 do
+    if v.(i) > 0 then acc := (i, v.(i)) :: !acc
+  done;
+  !acc
+
 (** Message ordering discipline of a group: FIFO per sender, causal
     (vector-clock delayed), or total (coordinator-sequenced). *)
 type ordering = Fifo | Causal | Total

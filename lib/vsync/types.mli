@@ -85,5 +85,9 @@ type app_msg = {
 
 val pp_app_msg : Format.formatter -> app_msg -> unit
 
+val vec_bindings : int array -> (Node_id.t * int) list
+(** Wire form of a per-sender delivery-count array (a vector clock or a
+    stability report): the nonzero entries in ascending node id. *)
+
 (** Message ordering discipline of a group. *)
 type ordering = Fifo | Causal | Total

@@ -16,10 +16,12 @@ let installed node v = Hwg.Installed { node; view = v }
 
 let delivered node view_id origin local_id = Hwg.Delivered { node; group; view_id; origin; local_id }
 
-let record events =
+let record_timed trace =
   let recorder = Recorder.create () in
-  List.iteri (fun i event -> Recorder.hook recorder (Time.ms i) event) events;
+  List.iter (fun (time, event) -> Recorder.hook recorder time event) trace;
   recorder
+
+let record events = record_timed (List.mapi (fun i event -> (Time.ms i, event)) events)
 
 let test_clean_trace_passes () =
   let v1 = view ~coord:0 ~seq:1 [ 0; 1 ] in
@@ -142,6 +144,69 @@ let test_installs_of () =
   let recorder = record [ installed 0 v1; installed 0 v2 ] in
   Alcotest.(check int) "two installs" 2 (List.length (Recorder.installs_of recorder ~node:0 ~group))
 
+(* A seeded random interleaving of all three event kinds, with node,
+   group and view ids at the 16-bit limits of [Gid.code]/[View_id.code]
+   and times up to [max_int], the largest a packed row holds.  Few
+   distinct ids, so duplicates, FIFO breaks, disagreeing views and
+   virtual-synchrony splits all occur. *)
+let random_trace ~seed n =
+  let rng = Plwg_util.Rng.create ~seed in
+  let pick a = a.(Plwg_util.Rng.int rng (Array.length a)) in
+  let nodes = [| 0; 1; 2; 0xffff |] in
+  let groups = [| group; { Gid.seq = 3; origin = 0xffff }; { Gid.seq = (1 lsl 40) + 5; origin = 0xffff } |] in
+  let vids = [| vid 0 1; vid 0 2; vid 0xffff 2; vid 0xffff 3; vid 1 ((1 lsl 40) + 1) |] in
+  let trace = ref [] in
+  for _ = 1 to n do
+    let time = if Plwg_util.Rng.int rng 16 = 0 then max_int else Plwg_util.Rng.int rng 1_000_000_000 in
+    let node = pick nodes in
+    let event =
+      match Plwg_util.Rng.int rng 10 with
+      | 0 | 1 ->
+          let members = List.filter (fun _ -> Plwg_util.Rng.int rng 4 > 0) (Array.to_list nodes) in
+          Hwg.Installed { node; view = View.make ~id:(pick vids) ~group:(pick groups) ~members ~preds:[] }
+      | 2 -> Hwg.Left { node; group = pick groups }
+      | _ ->
+          let local_id = if Plwg_util.Rng.int rng 64 = 0 then max_int else Plwg_util.Rng.int rng 6 in
+          Hwg.Delivered { node; group = pick groups; view_id = pick vids; origin = pick nodes; local_id }
+    in
+    trace := (time, event) :: !trace
+  done;
+  List.rev !trace
+
+let test_round_trip () =
+  (* 10 000 events cross the 4096-record chunk boundary of both the
+     delivery rows and the kind bytes *)
+  List.iter
+    (fun seed ->
+      let trace = random_trace ~seed 10_000 in
+      Alcotest.(check bool) (Printf.sprintf "seed %d: events = hooked" seed) true (Recorder.events (record_timed trace) = trace))
+    [ 1; 2; 3 ];
+  Alcotest.(check bool) "empty" true (Recorder.events (Recorder.create ()) = [])
+
+(* Each check's findings on a recorded scenario, pinned as a count and a
+   digest of the newline-joined list that the earlier list-backed
+   recorder produced, so the row storage cannot reorder, drop or reword
+   a finding. *)
+let test_findings_unchanged () =
+  let r = record_timed (random_trace ~seed:7 600) in
+  let pinned name findings ~count ~digest =
+    Alcotest.(check int) (name ^ " count") count (List.length findings);
+    Alcotest.(check string) (name ^ " digest") digest (Digest.to_hex (Digest.string (String.concat "\n" findings)))
+  in
+  pinned "self inclusion" (Recorder.check_self_inclusion r) ~count:38 ~digest:"99b1010c92f795f92f73286dc0483895";
+  pinned "view agreement" (Recorder.check_view_agreement r) ~count:103 ~digest:"989ca836c0d8da0ecc12f544c7cbfa9f";
+  pinned "local monotonicity" (Recorder.check_local_monotonicity r) ~count:51
+    ~digest:"a10a4f1811f19a34269d45c2fe536ed2";
+  pinned "unique view ids" (Recorder.check_view_id_unique_per_change r) ~count:35
+    ~digest:"8aa3531827096f9dadc1f484a4506889";
+  pinned "no duplicate delivery" (Recorder.check_no_duplicate_delivery r) ~count:199
+    ~digest:"d387bbd0265487228ccccdd5ae645c0b";
+  pinned "fifo" (Recorder.check_fifo r) ~count:227 ~digest:"3db18b64a143bb34051a215b47226aee";
+  pinned "virtual synchrony" (Recorder.check_virtual_synchrony r) ~count:26
+    ~digest:"5ed1598f9d0cc9f29e4ed3d87b9063fa";
+  pinned "all" (Recorder.check_all r) ~count:679 ~digest:"888a849fa4a37789dfda2e81cce4d58f";
+  pinned "total order" (Recorder.check_total_order r ~group) ~count:15 ~digest:"50c8afff81952e0af021b024a2d72693"
+
 let suite =
   [
     Alcotest.test_case "clean trace passes" `Quick test_clean_trace_passes;
@@ -156,4 +221,6 @@ let suite =
     Alcotest.test_case "detects total order violation" `Quick test_detects_total_order_violation;
     Alcotest.test_case "total order prefix ok" `Quick test_total_order_prefixes_ok;
     Alcotest.test_case "installs_of" `Quick test_installs_of;
+    Alcotest.test_case "round trip at the row limits" `Quick test_round_trip;
+    Alcotest.test_case "findings unchanged" `Quick test_findings_unchanged;
   ]
